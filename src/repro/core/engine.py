@@ -38,6 +38,9 @@ from .rng import Stream, StreamFactory
 
 __all__ = ["Simulator"]
 
+#: the default band as a plain int, so the common call needs no coercion
+_NORMAL = int(Priority.NORMAL)
+
 
 class Simulator:
     """Sequential event-driven discrete-event simulator.
@@ -120,7 +123,7 @@ class Simulator:
         delay: float,
         fn: Callable[..., Any],
         *args: Any,
-        priority: int = Priority.NORMAL,
+        priority: int = _NORMAL,
         label: str = "",
         **kwargs: Any,
     ) -> Event:
@@ -137,19 +140,30 @@ class Simulator:
         time: float,
         fn: Callable[..., Any],
         *args: Any,
-        priority: int = Priority.NORMAL,
+        priority: int = _NORMAL,
         label: str = "",
         **kwargs: Any,
     ) -> Event:
-        """Schedule ``fn`` at absolute simulation *time* (>= now)."""
-        if math.isnan(time):
-            raise SchedulingError("cannot schedule event at NaN time")
-        if time < self._now:
+        """Schedule ``fn`` at absolute simulation *time* (>= now).
+
+        The one place event fields are validated and coerced: the stored
+        :class:`Event` always holds a plain ``float`` time and a plain
+        ``int`` priority, whatever numeric types the caller passed.
+        """
+        if time.__class__ is not float:
+            if math.isnan(time):  # also the TypeError for non-numbers
+                raise SchedulingError("cannot schedule event at NaN time")
+            time = float(time)
+        if not time >= self._now:
+            if time != time:
+                raise SchedulingError("cannot schedule event at NaN time")
             raise SchedulingError(
                 f"cannot schedule event in the past (t={time} < now={self._now})"
             )
-        ev = Event(time, self._next_seq(), fn, args, kwargs,
-                   priority=priority, label=label)
+        if priority.__class__ is not int:
+            priority = int(priority)
+        self._seq = seq = self._seq + 1
+        ev = Event(time, seq, fn, args, kwargs, priority, label)
         self._queue.push(ev)
         obs = self._obs
         if obs is not None:

@@ -51,6 +51,11 @@ class Priority(enum.IntEnum):
 class Event:
     """One scheduled occurrence.
 
+    The record stores its fields exactly as given.  The engine validates
+    and coerces once, in :meth:`~repro.core.engine.Simulator.schedule_at`
+    (``time`` to a plain ``float``, ``priority`` to a plain ``int``), so
+    code that builds events directly must pass values of those types.
+
     Parameters
     ----------
     time:
@@ -79,12 +84,12 @@ class Event:
         priority: int = Priority.NORMAL,
         label: str = "",
     ) -> None:
-        self.time = float(time)
-        self.priority = int(priority)
-        self.seq = int(seq)
+        self.time = time
+        self.priority = priority
+        self.seq = seq
         self.fn = fn
         self.args = args
-        self.kwargs = kwargs or {}
+        self.kwargs = kwargs if kwargs is not None else {}
         self.label = label
         self._cancelled = False
         #: set by the owning queue at push time, cleared at pop time; lets

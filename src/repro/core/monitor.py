@@ -58,11 +58,14 @@ class Tally:
     def record(self, value: float) -> None:
         """Add one observation."""
         v = float(value)
-        self._n += 1
+        n = self._n + 1
+        self._n = n
         self._sum += v
-        delta = v - self._mean
-        self._mean += delta / self._n
-        self._m2 += delta * (v - self._mean)
+        mean = self._mean
+        delta = v - mean
+        mean += delta / n
+        self._mean = mean
+        self._m2 += delta * (v - mean)
         if v < self._min:
             self._min = v
         if v > self._max:
@@ -176,23 +179,27 @@ class TimeWeighted:
 
     def set(self, t: float, level: float) -> None:
         """Record that the level becomes *level* at time *t*."""
-        t = float(t)
-        if t < self._last_t:
+        if t.__class__ is not float:
+            t = float(t)
+        last_t = self._last_t
+        if t < last_t:
             raise ConfigurationError(
                 f"time-weighted stat {self.name!r}: time went backwards "
-                f"({t} < {self._last_t})"
+                f"({t} < {last_t})"
             )
-        dt = t - self._last_t
-        self._area += self._level * dt
-        self._areasq += self._level * self._level * dt
+        old = self._level
+        dt = t - last_t
+        self._area += old * dt
+        self._areasq += old * old * dt
         self._last_t = t
-        self._level = float(level)
-        if self._level < self._min:
-            self._min = self._level
-        if self._level > self._max:
-            self._max = self._level
+        level = float(level)
+        self._level = level
+        if level < self._min:
+            self._min = level
+        elif level > self._max:
+            self._max = level
         if self.keep_series:
-            self._series.append((t, self._level))
+            self._series.append((t, level))
 
     def add(self, t: float, delta: float) -> None:
         """Increment the level by *delta* at time *t*."""

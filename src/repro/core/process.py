@@ -89,9 +89,11 @@ class Waitable:
             return
         self._done = True
         self._result = result
-        callbacks, self._callbacks = self._callbacks, []
-        for cb in callbacks:
-            cb(result)
+        callbacks = self._callbacks
+        if callbacks:
+            self._callbacks = []
+            for cb in callbacks:
+                cb(result)
 
     # Subclasses with cancellation semantics override.
     def _abandon(self, callback: Callable[[Any], None]) -> None:
@@ -184,11 +186,26 @@ class _State(enum.Enum):
     FAILED = "failed"
 
 
+_READY, _RUNNING, _WAITING, _HOLDING, _DONE, _FAILED = (
+    _State.READY, _State.RUNNING, _State.WAITING, _State.HOLDING,
+    _State.DONE, _State.FAILED)
+#: the resumption band as a plain int, so schedule_at needs no coercion
+_HIGH = int(Priority.HIGH)
+
+
 class Process(Waitable):
     """An active object: a generator driven by the event kernel.
 
     Completes (as a :class:`Waitable`) with the generator's return value, so
     processes can ``yield`` other processes to join them.
+
+    Every resumption — start, end of a hold, wake-up after a waitable
+    completes, interrupt — is one kernel event whose callback is
+    :meth:`_step`.  Waitables call back the bound method :meth:`_wake`
+    rather than a per-wait closure; two bound methods of one process
+    compare equal, so :meth:`Waitable._unsubscribe` still finds it.  (The
+    bound methods are not stored on the process: that would make every
+    process a reference cycle, freed only by the cyclic collector.)
 
     Parameters
     ----------
@@ -215,15 +232,18 @@ class Process(Waitable):
         self._gen: ProcessBody = gen
         Process._counter += 1
         self.name = name or f"process-{Process._counter}"
-        self.state = _State.READY
+        self.state = _READY
         self.error: Optional[BaseException] = None
-        self._hold_event: Optional[Event] = None
         self._waiting_on: Optional[Waitable] = None
-        self._wait_cb: Optional[Callable[[Any], None]] = None
         # First step happens as a kernel event at the current time, so
-        # construction never runs model code re-entrantly.
-        sim.schedule(0.0, self._step, None, False,
-                     priority=Priority.HIGH, label=f"start:{self.name}")
+        # construction never runs model code re-entrantly.  ``_pending`` is
+        # the event that will next resume the body (start, hold end, or
+        # wake-up); None while the body runs or waits on a waitable.
+        # (``+ 0.0`` is schedule(0.0)'s arithmetic: a clock at -0.0 starts
+        # the process at 0.0.)
+        self._pending: Optional[Event] = sim.schedule_at(
+            sim._now + 0.0, self._step, None, False, priority=_HIGH,
+            label=f"start:{self.name}")
         obs = sim._obs
         if obs is not None:
             obs.on_process(self, "spawn")
@@ -233,44 +253,50 @@ class Process(Waitable):
     @property
     def alive(self) -> bool:
         """True until the process terminates or fails."""
-        return self.state not in (_State.DONE, _State.FAILED)
+        return self.state is not _DONE and self.state is not _FAILED
 
     def interrupt(self, cause: Any = None) -> None:
         """Throw :class:`InterruptError` into the process at its wait point.
 
-        No-op on a finished process.  A process holding or waiting is woken
-        immediately (its timer/subscription is torn down); a READY process
-        is interrupted before its first statement runs.
+        No-op on a finished process.  The interrupt is delivered by a kernel
+        event at the current time, and lands at the wait point the process
+        is in when that event fires; that wait's timer or subscription is
+        torn down then.  A resumption already scheduled when ``interrupt``
+        is called runs first: a READY process runs to its first wait point,
+        and a process whose waitable completed in the same instant runs to
+        its next one, and the interrupt lands there.
         """
         if not self.alive:
             return
-        if self._hold_event is not None:
-            self._hold_event.cancel()
-            self._hold_event = None
-        if self._waiting_on is not None and self._wait_cb is not None:
-            self._waiting_on._abandon(self._wait_cb)
-            self._waiting_on = None
-            self._wait_cb = None
         self.sim.schedule(0.0, self._step, cause, True,
-                          priority=Priority.HIGH, label=f"interrupt:{self.name}")
+                          priority=_HIGH, label=f"interrupt:{self.name}")
 
     # -- engine plumbing -----------------------------------------------------------
 
     def _step(self, value: Any, is_interrupt: bool) -> None:
         """Advance the generator one segment (kernel event callback)."""
-        if not self.alive:
+        state = self.state
+        if state is _DONE or state is _FAILED:
             return
-        self._hold_event = None
+        if is_interrupt:
+            # Tear down the wait the interrupt lands on, so no stale timer
+            # or wake-up resumes the body a second time.
+            pending = self._pending
+            if pending is not None:
+                pending.cancel()
+            waiting_on = self._waiting_on
+            if waiting_on is not None:
+                waiting_on._abandon(self._wake)
+        self._pending = None
         self._waiting_on = None
-        self._wait_cb = None
-        self.state = _State.RUNNING
+        self.state = _RUNNING
         try:
             if is_interrupt:
                 yielded = self._gen.throw(InterruptError(value))
             else:
                 yielded = self._gen.send(value)
         except StopIteration as stop:
-            self.state = _State.DONE
+            self.state = _DONE
             obs = self.sim._obs
             if obs is not None:
                 obs.on_process(self, "done")
@@ -279,51 +305,45 @@ class Process(Waitable):
         except InterruptError as exc:
             # The body let the interrupt escape: treat as clean termination
             # with the interrupt cause as the result.
-            self.state = _State.DONE
+            self.state = _DONE
             obs = self.sim._obs
             if obs is not None:
                 obs.on_process(self, "done")
             self._complete(exc.cause)
             return
         except Exception as exc:
-            self.state = _State.FAILED
+            self.state = _FAILED
             self.error = exc
             obs = self.sim._obs
             if obs is not None:
                 obs.on_process(self, "failed")
             raise ProcessError(f"process {self.name!r} crashed: {exc!r}") from exc
-        self._arm(yielded)
-
-    def _arm(self, yielded: Any) -> None:
-        """Install the wait described by the yielded value."""
-        if isinstance(yielded, (int, float)):
-            if yielded < 0:
-                self.state = _State.FAILED
-                raise ProcessError(f"process {self.name!r} held negative time {yielded}")
-            self.state = _State.HOLDING
-            self._hold_event = self.sim.schedule(
-                float(yielded), self._step, None, False,
-                label=f"hold:{self.name}")
-            return
         if isinstance(yielded, Waitable):
-            self.state = _State.WAITING
+            self.state = _WAITING
             self._waiting_on = yielded
-
-            def cb(result: Any, _self=self) -> None:
-                # Resume via the kernel so wakeups interleave deterministically.
-                _self._waiting_on = None
-                _self._wait_cb = None
-                _self.sim.schedule(0.0, _self._step, result, False,
-                                   priority=Priority.HIGH,
-                                   label=f"wake:{_self.name}")
-
-            self._wait_cb = cb
-            yielded._subscribe(cb)
+            yielded._subscribe(self._wake)
             return
-        self.state = _State.FAILED
-        raise ProcessError(
-            f"process {self.name!r} yielded unsupported {type(yielded).__name__!r}"
-        )
+        if not isinstance(yielded, (int, float)):
+            self.state = _FAILED
+            raise ProcessError(
+                f"process {self.name!r} yielded unsupported {type(yielded).__name__!r}"
+            )
+        if yielded < 0:
+            self.state = _FAILED
+            raise ProcessError(f"process {self.name!r} held negative time {yielded}")
+        self.state = _HOLDING
+        sim = self.sim
+        self._pending = sim.schedule_at(sim._now + yielded, self._step, None,
+                                        False, label=f"hold:{self.name}")
+
+    def _wake(self, result: Any) -> None:
+        """Waitable callback: resume via the kernel, so wake-ups interleave
+        deterministically."""
+        self._waiting_on = None
+        sim = self.sim
+        self._pending = sim.schedule_at(sim._now + 0.0, self._step, result,
+                                        False, priority=_HIGH,
+                                        label=f"wake:{self.name}")
 
     def __repr__(self) -> str:  # pragma: no cover
         return f"<Process {self.name!r} state={self.state.value}>"

@@ -33,7 +33,8 @@ class Request(Waitable):
 
     Completes (becomes yieldable-done) when the resource grants it.  The
     :attr:`preempted` signal fires if a preemptive resource revokes the
-    grant; holders that care should wait on it (e.g. via ``AnyOf``).
+    grant; holders that care should wait on it (e.g. via ``AnyOf``).  Only
+    preemptive resources ever fire it, so the signal is built on first use.
     """
 
     _counter = 0
@@ -48,10 +49,19 @@ class Request(Waitable):
         self.priority = priority
         self.key = key
         self.owner = owner
-        self.issued_at = resource.sim.now
+        self.issued_at = resource.sim._now
         self.granted_at: Optional[float] = None
         self.released_at: Optional[float] = None
-        self.preempted = Signal(f"preempt-req{self.id}")
+        self._preempted: Optional[Signal] = None
+
+    @property
+    def preempted(self) -> Signal:
+        """Fires (with the revocation time) if a preemptive resource
+        revokes this grant."""
+        signal = self._preempted
+        if signal is None:
+            signal = self._preempted = Signal(f"preempt-req{self.id}")
+        return signal
 
     @property
     def waited(self) -> float:
@@ -130,12 +140,17 @@ class Resource:
         req = Request(self, amount, priority, key, owner)
         if on_grant is not None:
             req._subscribe(lambda _result, r=req: on_grant(r))
-        if self.queue_limit is not None and len(self._queue) >= self.queue_limit \
+        queue = self._queue
+        if self.queue_limit is not None and len(queue) >= self.queue_limit \
                 and not self._can_grant(req):
             self.balked += 1
             req._complete(None)  # balked tokens complete immediately with None
             return req
-        self._enqueue(req)
+        if self.discipline == "lifo":
+            queue.appendleft(req)
+        else:
+            queue.append(req)
+        self._q_level.set(self.sim._now, len(queue))
         self._dispatch()
         return req
 
@@ -147,10 +162,11 @@ class Resource:
             raise ResourceError(f"request {req.id} was never granted")
         if req.released_at is not None:
             raise ResourceError(f"request {req.id} already released")
-        req.released_at = self.sim.now
+        now = self.sim._now
+        req.released_at = now
         self._holders.remove(req)
         self._in_use -= req.amount
-        self._u_level.set(self.sim.now, self._in_use)
+        self._u_level.set(now, self._in_use)
         self._dispatch()
 
     def cancel(self, req: Request) -> None:
@@ -161,41 +177,33 @@ class Resource:
 
     # -- internals ---------------------------------------------------------------
 
-    def _enqueue(self, req: Request) -> None:
-        if self.discipline == "lifo":
-            self._queue.appendleft(req)
-        else:
-            self._queue.append(req)
-        self._q_level.set(self.sim.now, len(self._queue))
-
-    def _select_next(self) -> Optional[Request]:
-        if not self._queue:
-            return None
-        if self.discipline in ("fifo", "lifo"):
-            return self._queue[0]
-        if self.discipline == "priority":
-            return min(self._queue, key=lambda r: (r.priority, r.issued_at, r.id))
-        return min(self._queue, key=lambda r: (r.key, r.issued_at, r.id))  # sjf
-
     def _can_grant(self, req: Request) -> bool:
         return self._in_use + req.amount <= self.capacity
 
     def _dispatch(self) -> None:
         """Grant queued requests while capacity allows; maybe preempt."""
-        while True:
-            nxt = self._select_next()
-            if nxt is None:
-                return
-            if self._can_grant(nxt):
-                self._queue.remove(nxt)
-                self._grant(nxt)
+        queue = self._queue
+        while queue:
+            # FIFO/LIFO: the head is next by construction (lifo enqueues on
+            # the left), so only priority and sjf scan the queue.
+            head_first = self.discipline == "fifo" or self.discipline == "lifo"
+            if head_first:
+                nxt = queue[0]
+            elif self.discipline == "priority":
+                nxt = min(queue, key=lambda r: (r.priority, r.issued_at, r.id))
+            else:  # sjf
+                nxt = min(queue, key=lambda r: (r.key, r.issued_at, r.id))
+            if self._in_use + nxt.amount > self.capacity:
+                victim = self._preemption_victim(nxt) if self.preemptive else None
+                if victim is None:
+                    return
+                self._revoke(victim)
                 continue
-            if self.preemptive:
-                victim = self._preemption_victim(nxt)
-                if victim is not None:
-                    self._revoke(victim)
-                    continue
-            return
+            if head_first:
+                queue.popleft()
+            else:
+                queue.remove(nxt)
+            self._grant(nxt)
 
     def _preemption_victim(self, incoming: Request) -> Optional[Request]:
         """Lowest-priority holder strictly worse than *incoming*, if any."""
@@ -205,19 +213,21 @@ class Resource:
         return victim if victim.priority > incoming.priority else None
 
     def _revoke(self, req: Request) -> None:
-        req.released_at = self.sim.now
+        now = self.sim._now
+        req.released_at = now
         self._holders.remove(req)
         self._in_use -= req.amount
-        self._u_level.set(self.sim.now, self._in_use)
-        req.preempted.fire(self.sim.now)
+        self._u_level.set(now, self._in_use)
+        req.preempted.fire(now)
 
     def _grant(self, req: Request) -> None:
-        req.granted_at = self.sim.now
+        now = self.sim._now
+        req.granted_at = now
         self._in_use += req.amount
         self._holders.append(req)
-        self._q_level.set(self.sim.now, len(self._queue))
-        self._u_level.set(self.sim.now, self._in_use)
-        self._wait_tally.record(req.waited)
+        self._q_level.set(now, len(self._queue))
+        self._u_level.set(now, self._in_use)
+        self._wait_tally.record(now - req.issued_at)
         req._complete(req)
 
     # -- introspection -------------------------------------------------------------

@@ -65,10 +65,12 @@ class TraceDrivenSimulator(Simulator):
         # the past (start == recs[0].time), so skip schedule_at()'s
         # per-record validation and push straight onto the event list —
         # replay then runs entirely on the fused pop_if_le dispatch loop.
+        # Events store fields as given, so coerce here as schedule_at would.
         push = self._queue.push
+        normal = int(Priority.NORMAL)
         for rec in recs:
-            push(Event(rec.time, self._next_seq(), self._dispatch, (rec,),
-                       priority=Priority.NORMAL, label=rec.kind))
+            push(Event(float(rec.time), self._next_seq(), self._dispatch,
+                       (rec,), priority=normal, label=rec.kind))
 
     def on(self, kind: str, handler: Handler) -> "TraceDrivenSimulator":
         """Register *handler* for records of *kind*; chainable."""

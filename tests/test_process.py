@@ -1,5 +1,8 @@
 """Tests for the process-oriented ("active objects") layer."""
 
+import gc
+import weakref
+
 import pytest
 
 from repro.core import (
@@ -254,8 +257,96 @@ class TestInterrupt:
         sim.run()
         assert v.done and v.result == "cause-x"
 
+    def test_interrupt_racing_start_lands_at_first_wait(self):
+        """A READY process runs to its first wait point; the interrupt lands
+        there and the stale timer of that wait must not resume it."""
+        sim = Simulator()
+        log = []
+
+        def body():
+            try:
+                yield 5.0
+            except InterruptError as exc:
+                log.append(("interrupted", sim.now, exc.cause))
+            yield 10.0
+            log.append(("woke", sim.now))
+
+        p = Process(sim, body)
+        p.interrupt("early")
+        sim.run()
+        assert log == [("interrupted", 0.0, "early"), ("woke", 10.0)]
+        assert sim.now == 10.0
+
+    def test_interrupt_racing_wake_lands_at_next_wait(self):
+        """``sig.fire(); p.interrupt()`` in one callback: the scheduled
+        wake-up runs first, and the interrupt lands at the next wait."""
+        sim = Simulator()
+        sig = Signal()
+        log = []
+
+        def body():
+            yield sig
+            try:
+                yield 5.0
+            except InterruptError:
+                log.append(("interrupted", sim.now))
+            yield 10.0
+            log.append(("woke", sim.now))
+
+        p = Process(sim, body)
+
+        def fire_and_interrupt():
+            sig.fire()
+            p.interrupt()
+
+        sim.schedule(1.0, fire_and_interrupt)
+        sim.run()
+        assert log == [("interrupted", 1.0), ("woke", 11.0)]
+        assert sim.now == 11.0
+
+    def test_double_interrupt_tears_down_each_wait(self):
+        sim = Simulator()
+        log = []
+
+        def body():
+            for _ in range(2):
+                try:
+                    yield 50.0
+                except InterruptError as exc:
+                    log.append((sim.now, exc.cause))
+            yield 1.0
+            log.append(("done", sim.now))
+
+        p = Process(sim, body)
+        sim.schedule(3.0, p.interrupt, "a")
+        sim.schedule(3.0, p.interrupt, "b")
+        sim.run()
+        assert log == [(3.0, "a"), (3.0, "b"), ("done", 4.0)]
+
 
 class TestLifecycle:
+    def test_finished_process_freed_without_cycle_collector(self):
+        """A process must not hold a reference cycle once it has finished:
+        models create one per customer, and cyclic garbage would be freed
+        only by the collector, raising peak memory."""
+        sim = Simulator()
+        sig = Signal()
+
+        def body():
+            yield 1.0
+            yield sig
+
+        p = Process(sim, body)
+        ref = weakref.ref(p)
+        del p
+        sim.schedule(2.0, sig.fire)
+        gc.disable()
+        try:
+            sim.run()
+            assert ref() is None
+        finally:
+            gc.enable()
+
     def test_process_crash_raises_processerror(self):
         sim = Simulator()
 
