@@ -85,6 +85,8 @@ class FlowHandle(Waitable):
         self.rate = 0.0
         self.rate_cap = float(rate_cap)
         self.links: list[LinkSpec] = []
+        #: the owning network's interned ids of ``links``, in route order.
+        self._link_ids: tuple[int, ...] = ()
         #: True when the transfer was aborted (a link on its route failed,
         #: or no route existed); ``remaining`` then keeps the undelivered
         #: byte count and ``error`` says why.  Subscribers must check this
@@ -184,14 +186,17 @@ class FlowNetwork:
         self.verify = verify
         #: active flows keyed by id — O(1) admit/finish bookkeeping.
         self._active: dict[int, FlowHandle] = {}
-        #: persistent link → {flow id: flow} index over active flows;
-        #: entries are pruned as soon as their last crossing flow finishes,
-        #: so the index never outgrows the live flow set.
-        self._crossing: dict[LinkSpec, dict[int, FlowHandle]] = {}
-        #: flows admitted / links released since the last recompute — the
-        #: seeds of the next component-scoped pass.
+        #: link interning: every link a transfer routes over gets a dense
+        #: int id on first use; the lists below are indexed by it.
+        self._link_ids: dict[LinkSpec, int] = {}
+        self._links: list[LinkSpec] = []
+        self._usable: list[float] = []
+        #: persistent link id → {flow id: flow} index over active flows.
+        self._crossing: list[dict[int, FlowHandle]] = []
+        #: flows admitted / link ids released since the last recompute —
+        #: the seeds of the next component-scoped pass.
         self._dirty_flows: dict[int, FlowHandle] = {}
-        self._dirty_links: set[LinkSpec] = set()
+        self._dirty_links: set[int] = set()
         self._flush_scheduled = False
         self.sharing = SharingStats()
         self.monitor = Monitor("flow-network")
@@ -222,6 +227,7 @@ class FlowNetwork:
             self.sim.schedule(0.0, self._abort, handle,
                               f"no route {src} -> {dst}", label="flow_abort")
             return handle
+        handle._link_ids = self._intern(handle.links)
         latency = self.topology.path_latency(src, dst)
         if size == 0 or not handle.links:
             # Same-host copy or empty payload: latency-only, never admitted
@@ -242,8 +248,11 @@ class FlowNetwork:
 
     def link_utilization(self, spec: LinkSpec) -> float:
         """Instantaneous utilization of one link by active flows."""
-        used = sum(f.rate for f in self._crossing.get(spec, {}).values())
-        return used / (spec.bandwidth * self.efficiency)
+        lid = self._link_ids.get(spec)
+        if lid is None:
+            return 0.0  # no transfer has ever routed over it
+        used = sum(f.rate for f in self._crossing[lid].values())
+        return used / self._usable[lid]
 
     def reference_rates(self) -> dict[int, float]:
         """Full progressive filling over every active flow.
@@ -262,28 +271,53 @@ class FlowNetwork:
         over the dead link, then call this to kill the in-flight ones.
         Returns the aborted handles (each completed with ``failed=True``).
         """
-        victims = list(self._crossing.get(spec, {}).values())
+        lid = self._link_ids.get(spec)
+        if lid is None:
+            return []
+        victims = list(self._crossing[lid].values())
         for f in victims:
             self._abort(f, f"link {spec.src}->{spec.dst} failed")
         return victims
 
     # -- internals ------------------------------------------------------------------
 
+    def _intern(self, links: list[LinkSpec]) -> tuple[int, ...]:
+        """Dense int ids of *links*, assigning new ids on first sight.
+
+        Ids follow first-admission order, which is fixed by the event
+        stream — unlike ``LinkSpec`` hashes, which mix in per-process
+        string hashing — so every structure keyed by them iterates the
+        same way in every interpreter.
+        """
+        ids = self._link_ids
+        out = []
+        for link in links:
+            lid = ids.get(link)
+            if lid is None:
+                lid = ids[link] = len(self._links)
+                self._links.append(link)
+                self._usable.append(link.bandwidth * self.efficiency)
+                self._crossing.append({})
+            out.append(lid)
+        return tuple(out)
+
+    def _release(self, handle: FlowHandle) -> None:
+        """Drop an admitted flow from the active set and the link index."""
+        del self._active[handle.id]
+        crossing = self._crossing
+        for lid in handle._link_ids:
+            crossing[lid].pop(handle.id, None)
+        self._active_level.set(self.sim.now, len(self._active))
+
     def _abort(self, handle: FlowHandle, reason: str) -> None:
         """Terminate *handle* as failed: settle bytes, free its links,
         cancel its completion, and complete it with ``failed=True``."""
         if handle.finished is not None:
             return  # already finished or aborted — completion fires once
-        admitted = self._active.pop(handle.id, None) is not None
+        admitted = handle.id in self._active
         if admitted:
             self._settle(handle)
-            for link in handle.links:
-                crossing = self._crossing.get(link)
-                if crossing is not None:
-                    crossing.pop(handle.id, None)
-                    if not crossing:
-                        del self._crossing[link]
-            self._active_level.set(self.sim.now, len(self._active))
+            self._release(handle)
         if handle._completion is not None:
             handle._completion.cancel()
             handle._completion = None
@@ -299,7 +333,7 @@ class FlowNetwork:
         handle._complete(handle)
         if admitted:
             # the freed share goes back to the survivors on those links
-            self._mark_dirty(links=handle.links)
+            self._mark_dirty(links=handle._link_ids)
 
     def _admit(self, handle: FlowHandle) -> None:
         # The route was up when the transfer started; a link may have died
@@ -311,28 +345,21 @@ class FlowNetwork:
                 return
         handle._last_update = self.sim.now
         self._active[handle.id] = handle
-        for link in handle.links:
-            self._crossing.setdefault(link, {})[handle.id] = handle
+        for lid in handle._link_ids:
+            self._crossing[lid][handle.id] = handle
         self._active_level.set(self.sim.now, len(self._active))
         self._mark_dirty(flow=handle)
 
     def _finish(self, handle: FlowHandle) -> None:
         if handle.finished is not None:
             return  # aborted in the same instant — completion fires once
-        admitted = self._active.pop(handle.id, None) is not None
+        admitted = handle.id in self._active
         handle.remaining = 0.0
         handle.rate = 0.0
         handle.finished = self.sim.now
-        if handle._completion is not None:
-            handle._completion = None
+        handle._completion = None
         if admitted:
-            for link in handle.links:
-                crossing = self._crossing.get(link)
-                if crossing is not None:
-                    crossing.pop(handle.id, None)
-                    if not crossing:
-                        del self._crossing[link]
-            self._active_level.set(self.sim.now, len(self._active))
+            self._release(handle)
         self.completed += 1
         self.monitor.tally("transfer_time").record(handle.duration)
         if admitted:
@@ -342,7 +369,7 @@ class FlowNetwork:
         handle._complete(handle)
         if admitted:
             # A flow that never held bandwidth cannot change anyone's share.
-            self._mark_dirty(links=handle.links)
+            self._mark_dirty(links=handle._link_ids)
 
     def _settle(self, handle: FlowHandle) -> None:
         """Account bytes moved at the current rate since the last update."""
@@ -352,7 +379,7 @@ class FlowNetwork:
         handle._last_update = self.sim.now
 
     def _mark_dirty(self, flow: FlowHandle | None = None,
-                    links: Iterable[LinkSpec] | None = None) -> None:
+                    links: Iterable[int] | None = None) -> None:
         """Record a topology-of-flows change and arrange one recompute.
 
         Incremental mode defers the recompute to a same-timestamp LOW-band
@@ -383,7 +410,7 @@ class FlowNetwork:
         self._dirty_links = set()
         for f in dirty_flows.values():
             if f.id in self._active:
-                seed_links.update(f.links)
+                seed_links.update(f._link_ids)
         if not seed_links:
             return
         component = self._component(seed_links)
@@ -393,20 +420,20 @@ class FlowNetwork:
         if self.verify:
             self._verify_against_reference()
 
-    def _component(self, seed_links: Iterable[LinkSpec]) -> dict[int, FlowHandle]:
-        """Flows transitively sharing a link with any seed link."""
+    def _component(self, seed_links: Iterable[int]) -> dict[int, FlowHandle]:
+        """Flows transitively sharing a link with any seed link id."""
+        crossing = self._crossing
         flows: dict[int, FlowHandle] = {}
-        stack = [l for l in seed_links if l in self._crossing]
+        stack = list(seed_links)
         seen = set(stack)
         while stack:
-            link = stack.pop()
-            for f in self._crossing[link].values():
-                if f.id not in flows:
-                    flows[f.id] = f
-                    for l in f.links:
-                        if l not in seen and l in self._crossing:
-                            seen.add(l)
-                            stack.append(l)
+            for fid, f in crossing[stack.pop()].items():
+                if fid not in flows:
+                    flows[fid] = f
+                    for lid in f._link_ids:
+                        if lid not in seen:
+                            seen.add(lid)
+                            stack.append(lid)
         return flows
 
     def _apply_rates(self, flows: dict[int, FlowHandle], preserve: bool) -> None:
@@ -419,36 +446,43 @@ class FlowNetwork:
         """
         if not flows:
             return
-        for f in flows.values():
-            self._settle(f)
+        sim = self.sim
+        now = sim.now
+        for f in flows.values():  # _settle, inlined: one clock read
+            dt = now - f._last_update
+            if dt > 0:
+                f.remaining = max(0.0, f.remaining - f.rate * dt)
+            f._last_update = now
         rates = self._max_min_rates(flows)
         stats = self.sharing
         stats.recomputes += 1
         stats.flows_touched += len(flows)
         rescheduled = preserved = 0
         eps = self.RESCHEDULE_EPS
-        for f in flows.values():
-            new_rate = rates[f.id]
-            if (preserve and f._completion is not None
-                    and not f._completion.cancelled
-                    and abs(new_rate - f.rate)
-                    <= eps * max(abs(new_rate), abs(f.rate))):
+        schedule_at, finish = sim.schedule_at, self._finish
+        for fid, f in flows.items():
+            new_rate = rates[fid]
+            old_rate = f.rate
+            ev = f._completion
+            if (preserve and ev is not None and not ev.cancelled
+                    and abs(new_rate - old_rate)
+                    <= eps * max(abs(new_rate), abs(old_rate))):
                 preserved += 1
                 continue
             f.rate = new_rate
-            if f._completion is not None:
-                f._completion.cancel()
+            if ev is not None:
+                ev.cancel()
                 f._completion = None
             if new_rate > 0:
-                eta = f.remaining / new_rate
-                f._completion = self.sim.schedule(
-                    eta, self._finish, f, label="flow_done")
+                # now + eta is bitwise the time schedule(eta, ...) computes
+                f._completion = schedule_at(now + f.remaining / new_rate,
+                                            finish, f, label="flow_done")
                 rescheduled += 1
             # rate == 0 can only happen with a rate cap of 0; such flows
             # sit idle until a reallocation frees capacity.
         stats.rescheduled += rescheduled
         stats.preserved += preserved
-        obs = self.sim._obs
+        obs = sim._obs
         if obs is not None:
             obs.on_reallocate(len(flows), rescheduled, preserved)
 
@@ -477,43 +511,61 @@ class FlowNetwork:
         """
         if not flows:
             return {}
-        free: dict[LinkSpec, float] = {}
-        capacity: dict[LinkSpec, float] = {}
-        crossing: dict[LinkSpec, list[FlowHandle]] = {}
+        usable = self._usable
+        # Links in first-encounter order over *flows*: the bottleneck scan
+        # walks them in this order, so its strict ``<`` picks the first of
+        # any tied links.
+        free: dict[int, float] = {}
+        crossing: dict[int, list[FlowHandle]] = {}
         for f in flows.values():
-            for link in f.links:
-                if link not in free:
-                    cap = link.bandwidth * self.efficiency
-                    free[link] = cap
-                    capacity[link] = cap
-                    crossing[link] = []
-                crossing[link].append(f)
+            for lid in f._link_ids:
+                crossers = crossing.get(lid)
+                if crossers is None:
+                    free[lid] = usable[lid]
+                    crossing[lid] = [f]
+                else:
+                    crossers.append(f)
+        #: unfrozen crossers per link, kept live as flows freeze; a link
+        #: leaves the dict when its last crosser freezes.
+        live = {lid: len(crossers) for lid, crossers in crossing.items()}
         rates: dict[int, float] = {}
-        unfrozen = set(flows)
+
+        def freeze(f: FlowHandle, rate: float) -> None:
+            rates[f.id] = rate
+            for lid in f._link_ids:
+                free[lid] = max(0.0, free[lid] - rate)
+                n = live[lid] - 1
+                if n:
+                    live[lid] = n
+                else:
+                    del live[lid]
+
         # Flows capped at exactly 0 can never carry bytes; freeze them first
         # so the starvation guard below applies only to servable flows.
-        for fid, f in flows.items():
+        for f in flows.values():
             if f.rate_cap <= 0.0:
-                rates[fid] = 0.0
-                unfrozen.discard(fid)
-        while unfrozen:
+                freeze(f, 0.0)
+        # Only finitely capped flows can ever freeze at their cap; listed in
+        # *flows* order, so caps are subtracted from ``free`` in an order
+        # that does not depend on flow-id values.
+        cap_pool = [f for f in flows.values()
+                    if f.rate_cap < math.inf and f.id not in rates]
+        while len(rates) < len(flows):
             # Fair share each link could offer its unfrozen flows; track the
             # single most-constrained link (the iteration's bottleneck).
             best_share = math.inf
-            best_link: Optional[LinkSpec] = None
-            for link, crossers in crossing.items():
-                n_live = sum(1 for f in crossers if f.id in unfrozen)
-                if n_live == 0:
-                    continue
-                share = free[link] / n_live
+            best_link: Optional[int] = None
+            for lid, n in live.items():
+                share = free[lid] / n
                 if share < best_share:
                     best_share = share
-                    best_link = link
+                    best_link = lid
             if best_link is None:
                 # Remaining flows cross no constrained link (can only happen
                 # with rate caps); give them their caps.
-                for fid in unfrozen:
-                    rates[fid] = flows[fid].rate_cap
+                for fid, f in flows.items():
+                    if fid not in rates:
+                        rates[fid] = f.rate_cap
                 break
             # Starvation guard: float residue in `free` after repeated
             # subtraction can reach exactly 0 (or epsilon dust) while
@@ -522,28 +574,21 @@ class FlowNetwork:
             # hang.  Floor the share relative to the bottleneck's capacity
             # (overshoot is ≤ crossers · floor, far inside the efficiency
             # margin), with an absolute backstop for subnormal capacities.
-            floor = self.SHARE_FLOOR_EPS * capacity[best_link]
+            floor = self.SHARE_FLOOR_EPS * usable[best_link]
             if best_share < floor or best_share <= 0.0:
                 best_share = floor if floor > 0.0 else _MIN_SHARE
             # Flows capped below the bottleneck share freeze at their cap
             # first — they consume less than a fair share everywhere.
-            capped = [fid for fid in unfrozen
-                      if flows[fid].rate_cap < best_share]
+            capped = [f for f in cap_pool
+                      if f.id not in rates and f.rate_cap < best_share]
             if capped:
-                for fid in capped:
-                    rate = flows[fid].rate_cap
-                    rates[fid] = rate
-                    unfrozen.discard(fid)
-                    for link in flows[fid].links:
-                        free[link] = max(0.0, free[link] - rate)
+                for f in capped:
+                    freeze(f, f.rate_cap)
                 continue
             # Freeze exactly the bottleneck link's flows at its fair share.
             for f in crossing[best_link]:
-                if f.id in unfrozen:
-                    rates[f.id] = best_share
-                    unfrozen.discard(f.id)
-                    for link in f.links:
-                        free[link] = max(0.0, free[link] - best_share)
+                if f.id not in rates:
+                    freeze(f, best_share)
         # Post-condition of the guard: no servable flow ever starves.
         for fid, rate in rates.items():
             if rate <= 0.0 and flows[fid].rate_cap > 0.0:

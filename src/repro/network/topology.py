@@ -69,6 +69,9 @@ class Topology:
     def __init__(self) -> None:
         self._g = nx.DiGraph()
         self._route_cache: dict[str, dict[str, list[str]]] = {}
+        #: the link tuple of each route served, next to its node path;
+        #: cleared wherever the node-path cache is.
+        self._route_links_cache: dict[str, dict[str, tuple[LinkSpec, ...]]] = {}
         #: directed edges currently out of service — routing hides them, so
         #: traffic reroutes around an outage when an alternate path exists
         #: and :meth:`route` raises RoutingError when the cut partitions
@@ -80,7 +83,7 @@ class Topology:
     def add_node(self, name: str, **attrs) -> None:
         """Add a node; re-adding an existing node updates its attributes."""
         self._g.add_node(name, **attrs)
-        self._route_cache.clear()
+        self._invalidate_routes()
 
     def add_link(self, src: str, dst: str, bandwidth: float,
                  latency: float = 0.0, symmetric: bool = True) -> None:
@@ -89,7 +92,11 @@ class Topology:
         self._g.add_edge(src, dst, spec=spec)
         if symmetric:
             self._g.add_edge(dst, src, spec=LinkSpec(dst, src, bandwidth, latency))
+        self._invalidate_routes()
+
+    def _invalidate_routes(self) -> None:
         self._route_cache.clear()
+        self._route_links_cache.clear()
 
     # -- link availability ------------------------------------------------------
 
@@ -108,7 +115,7 @@ class Topology:
                 self._down.add((a, b))
                 downed.append(self._g.edges[a, b]["spec"])
         if downed:
-            self._route_cache.clear()
+            self._invalidate_routes()
         return downed
 
     def repair_link(self, src: str, dst: str,
@@ -124,7 +131,7 @@ class Topology:
                 self._down.discard((a, b))
                 restored.append(self._g.edges[a, b]["spec"])
         if restored:
-            self._route_cache.clear()
+            self._invalidate_routes()
         return restored
 
     def link_up(self, src: str, dst: str) -> bool:
@@ -189,19 +196,31 @@ class Topology:
         except KeyError:
             raise RoutingError(f"no route {src} -> {dst}") from None
 
+    def _links_along(self, src: str, dst: str) -> tuple[LinkSpec, ...]:
+        """The cached link tuple along :meth:`route` (routes on a miss)."""
+        per_src = self._route_links_cache.get(src)
+        if per_src is not None:
+            links = per_src.get(dst)
+            if links is not None:
+                return links
+        path = self.route(src, dst)
+        edges = self._g.edges
+        links = tuple(edges[a, b]["spec"] for a, b in zip(path, path[1:]))
+        self._route_links_cache.setdefault(src, {})[dst] = links
+        return links
+
     def route_links(self, src: str, dst: str) -> list[LinkSpec]:
         """The link sequence along :meth:`route` (empty when src == dst)."""
-        path = self.route(src, dst)
-        return [self._g.edges[a, b]["spec"] for a, b in zip(path, path[1:])]
+        return list(self._links_along(src, dst))
 
     def path_latency(self, src: str, dst: str) -> float:
         """Total propagation latency along the route."""
-        return sum(link.latency for link in self.route_links(src, dst))
+        return sum(link.latency for link in self._links_along(src, dst))
 
     def bottleneck_bandwidth(self, src: str, dst: str) -> float:
         """Minimum link capacity along the route (inf for src == dst)."""
-        links = self.route_links(src, dst)
-        return min((l.bandwidth for l in links), default=float("inf"))
+        return min((l.bandwidth for l in self._links_along(src, dst)),
+                   default=float("inf"))
 
     def __repr__(self) -> str:  # pragma: no cover
         return f"<Topology nodes={self._g.number_of_nodes()} links={self._g.number_of_edges()}>"

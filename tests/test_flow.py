@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core import ConfigurationError, Process, Simulator
-from repro.network import FlowNetwork, Topology, dumbbell
+from repro.network import FlowNetwork, LinkSpec, Topology, dumbbell
 
 
 def simple_net(bw=100.0, latency=0.0, efficiency=1.0):
@@ -267,6 +267,61 @@ class TestIncrementalSharing:
             else:
                 ref = (h1.finished, h2.finished)
         assert inc == pytest.approx(ref, rel=1e-9)
+
+
+class TestLinkInterning:
+    """Links are interned per network by value, on first use."""
+
+    def net(self):
+        t = Topology()
+        t.add_link("a", "b", 100.0, 0.0)
+        t.add_link("b", "c", 100.0, 0.0)
+        sim = Simulator()
+        return sim, t, FlowNetwork(sim, t, efficiency=1.0, verify=True)
+
+    def test_never_crossed_link_is_idle(self):
+        sim, t, net = self.net()
+        h = net.transfer("a", "b", 1000.0)
+        sim.run(until=1.0)
+        unused = t.link("b", "c")
+        assert net.link_utilization(unused) == 0.0
+        assert net.abort_link(unused) == []
+        assert not h.failed
+        sim.run()
+        assert h.finished == pytest.approx(10.0)
+
+    def test_equal_but_distinct_spec_resolves_to_same_link(self):
+        sim, t, net = self.net()
+        net.transfer("a", "c", 1000.0)
+        net.transfer("a", "b", 1000.0)
+        sim.run(until=1.0)
+        own = t.link("a", "b")
+        twin = LinkSpec(own.src, own.dst, own.bandwidth, own.latency)
+        assert twin is not own and twin == own
+        assert net.link_utilization(twin) == net.link_utilization(own) == 1.0
+        victims = net.abort_link(twin)
+        assert len(victims) == 2 and all(v.failed for v in victims)
+        assert net.abort_link(own) == []
+
+    def test_verify_clean_through_abort_repair_cycle(self):
+        sim, t, net = self.net()
+        long = net.transfer("a", "c", 1000.0)
+        short = net.transfer("b", "c", 1000.0)
+        sim.run(until=1.0)
+        for spec in t.fail_link("a", "b"):
+            net.abort_link(spec)
+        assert long.failed and not short.failed
+        sim.run(until=2.0)
+        assert short.rate == pytest.approx(100.0)
+        t.repair_link("a", "b")
+        again = net.transfer("a", "c", 500.0)
+        sim.run()
+        assert not again.failed and not short.failed
+        assert net.aborted == 1 and net.active_flows == 0
+        # 50/50 until the abort at 1, alone until 2, 50/50 with `again`
+        # until it ends at 12, then alone for the last 350 bytes
+        assert again.finished == pytest.approx(12.0)
+        assert short.finished == pytest.approx(15.5)
 
 
 @settings(max_examples=25, deadline=None)

@@ -2,9 +2,10 @@
 
 import pytest
 
-from repro.core import ConfigurationError, RoutingError, TopologyError
+from repro.core import ConfigurationError, RoutingError, Simulator, TopologyError
 from repro.network import (
     GBPS,
+    FlowNetwork,
     Topology,
     dumbbell,
     eu_datagrid,
@@ -84,6 +85,73 @@ class TestRouting:
         assert t.route("a", "c") == ["a", "b", "c"]
         t.add_link("a", "c", 100.0, 0.001)  # new fast direct edge
         assert t.route("a", "c") == ["a", "c"]
+
+
+class TestRouteLinkCache:
+    """Route link tuples are cached beside the node paths and must be
+    dropped wherever those are."""
+
+    topo = TestRouting.topo
+
+    def test_fail_and_repair_invalidate(self):
+        t = self.topo()
+        via_b = [t.link("a", "b"), t.link("b", "c")]
+        assert t.route_links("a", "c") == via_b
+        t.fail_link("a", "b")
+        assert t.route_links("a", "c") == [t.link("a", "c")]
+        assert t.path_latency("a", "c") == 0.1
+        assert t.bottleneck_bandwidth("a", "c") == 10.0
+        t.repair_link("a", "b")
+        assert t.route_links("a", "c") == via_b
+        assert t.bottleneck_bandwidth("a", "c") == 50.0
+
+    def test_add_link_invalidates(self):
+        t = self.topo()
+        assert t.path_latency("a", "c") == pytest.approx(0.02)
+        t.add_link("a", "c", 100.0, 0.001)
+        assert t.route_links("a", "c") == [t.link("a", "c")]
+        assert t.path_latency("a", "c") == 0.001
+        assert t.bottleneck_bandwidth("a", "c") == 100.0
+
+    def test_add_node_invalidates(self):
+        t = self.topo()
+        t.route_links("a", "c")
+        assert t._route_links_cache
+        t.add_node("d")
+        assert not t._route_links_cache
+
+    def test_transfer_after_fail_link_reroutes(self):
+        t = self.topo()
+        sim = Simulator()
+        net = FlowNetwork(sim, t, efficiency=1.0, verify=True)
+        first = net.transfer("a", "c", 100.0)
+        sim.run()
+        assert first.links == [t.link("a", "b"), t.link("b", "c")]
+        t.fail_link("b", "c")
+        second = net.transfer("a", "c", 100.0)
+        sim.run()
+        assert second.links == [t.link("a", "c")]
+        assert not second.failed
+        assert second.finished - second.started == pytest.approx(0.1 + 10.0)
+
+    def test_returned_list_is_a_copy(self):
+        t = self.topo()
+        links = t.route_links("a", "c")
+        links.clear()
+        assert len(t.route_links("a", "c")) == 2
+        assert t.bottleneck_bandwidth("a", "c") == 50.0
+
+    def test_cached_sums_match_uncached(self):
+        t = tier_tree([3, 2], [10 * GBPS, 1 * GBPS], latency=0.013)
+        pairs = [(a, b) for a in t.nodes for b in t.nodes]
+        for _ in range(2):  # first pass fills the cache, second reads it
+            for a, b in pairs:
+                path = t.route(a, b)
+                links = [t.link(u, v) for u, v in zip(path, path[1:])]
+                assert t.route_links(a, b) == links
+                assert t.path_latency(a, b) == sum(l.latency for l in links)
+                assert t.bottleneck_bandwidth(a, b) == min(
+                    (l.bandwidth for l in links), default=float("inf"))
 
 
 class TestFactories:
