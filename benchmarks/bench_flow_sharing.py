@@ -6,15 +6,15 @@ flows on one shared backbone) under both sharing engines of
 ``repro.network.flow.FlowNetwork``:
 
 * ``incremental=True`` — component-scoped recompute, coalesced flushes,
-  epsilon-preserved completion events;
+  epsilon-preserved completion times (ETAs);
 * ``incremental=False`` — the retained full progressive-filling reference
-  that recomputes every flow and cancels+reschedules every completion
-  event on each admit/finish (the churn baseline).
+  that recomputes every flow and every ETA on each admit/finish (the churn
+  baseline).
 
 Completion times are cross-checked between the two engines while
 collecting — a baseline refresh that silently recorded a divergent
 allocator would poison every later comparison.  The headline ratios are
-the completion-event churn saved (``reschedule_ratio``) and the wall-clock
+the ETA recomputes saved (``reschedule_ratio``) and the wall-clock
 speedup; ``run_kernel_baseline.py --section e8`` merges the section into
 ``BENCH_kernel.json`` as ``e8_flow_sharing``.
 """

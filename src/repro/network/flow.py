@@ -27,20 +27,29 @@ were built to avoid.  This engine instead:
 * recomputes shares only for the **connected component** of flows that
   share a link (transitively) with the changed flow — progressive filling
   decomposes exactly across components, so disjoint components' rates and
-  completion events are left untouched;
-* **preserves** the completion event of any flow whose recomputed rate is
-  unchanged within a relative epsilon (``RESCHEDULE_EPS``) — no dead
-  records enter the event list for rate-stable flows;
+  completion times are left untouched;
+* **preserves** the projected completion time (ETA) of any flow whose
+  recomputed rate is unchanged within a relative epsilon
+  (``RESCHEDULE_EPS``);
 * **coalesces** all admits/finishes at one timestamp into a single
   recompute, scheduled at the same time in the :data:`Priority.LOW` band so
   it runs after every same-time network event.
 
+Completion times never enter the kernel's event list one per flow.  Each
+network keeps its own heap of ``(eta, key, flow)`` entries — an entry is
+live while its key is the flow's current one, so a recompute just pushes
+the new ETA and the old entry dies in place — and arms exactly **one**
+``flow_done`` kernel event, at the earliest live ETA.  That timer finishes
+one flow per firing and re-arms, so the kernel fires exactly the events a
+per-flow completion event would have, without leaving a cancelled record
+in the event list for every flow a recompute touches.
+
 ``incremental=False`` retains the full progressive-filling engine (global
-recompute, full reschedule, no coalescing) as the verification reference
-and churn baseline; ``verify=True`` cross-checks every incremental update
-against it.  Per-network counters in :attr:`FlowNetwork.sharing` (and, when
-a :mod:`repro.obs` session is attached, run telemetry) account for the
-saved work.
+recompute, every ETA recomputed, no coalescing) as the verification
+reference and churn baseline; ``verify=True`` cross-checks every
+incremental update against it.  Per-network counters in
+:attr:`FlowNetwork.sharing` (and, when a :mod:`repro.obs` session is
+attached, run telemetry) account for the saved work.
 
 A flow's data starts moving after the route's propagation latency; the
 returned :class:`FlowHandle` completes when the last byte arrives.
@@ -50,6 +59,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from heapq import heapify, heappop, heappush
 from typing import Iterable, Optional
 
 from ..core.engine import Simulator
@@ -93,8 +103,20 @@ class FlowHandle(Waitable):
         #: — an aborted handle still completes (exactly once), with itself.
         self.failed = False
         self.error: Optional[str] = None
-        self._completion: Optional[Event] = None
+        #: the ETA of the flow's live completion-heap entry (NaN: none) and
+        #: that entry's key (-1: none).
+        self._eta = math.nan
+        self._eta_key = -1
         self._last_update = started
+
+    @property
+    def eta(self) -> float:
+        """Projected completion time at the current rate.
+
+        NaN while the flow has no live completion entry: before admission,
+        while parked at rate 0, and once finished or aborted.
+        """
+        return self._eta
 
     @property
     def duration(self) -> float:
@@ -121,16 +143,17 @@ class FlowHandle(Waitable):
 class SharingStats:
     """Reallocation accounting for one :class:`FlowNetwork`.
 
-    ``preserved``/``rescheduled`` partition the completion events of every
-    recomputed flow; flows outside the recomputed component appear in
-    neither (their events were never touched at all).
+    ``preserved``/``rescheduled`` partition the completion times (ETAs) of
+    every recomputed flow that holds a positive rate; flows outside the
+    recomputed component appear in neither (their ETAs were never touched
+    at all).
     """
 
     recomputes: int = 0          #: progressive-filling passes actually run
     coalesced: int = 0           #: admits/finishes absorbed by a pending pass
     flows_touched: int = 0       #: flows whose rates were recomputed (summed)
-    rescheduled: int = 0         #: completion events cancelled + rescheduled
-    preserved: int = 0           #: completion events kept (rate unchanged)
+    rescheduled: int = 0         #: ETAs recomputed (a fresh heap entry)
+    preserved: int = 0           #: ETAs kept (rate unchanged)
 
     def as_dict(self) -> dict:
         """Flat dict (CSV/JSON-friendly)."""
@@ -152,8 +175,8 @@ class FlowNetwork:
     incremental:
         When True (default) use the component-scoped incremental engine.
         When False, run the retained full progressive-filling reference:
-        every admit/finish immediately recomputes all flows and
-        cancels+reschedules every completion event (the churn baseline).
+        every admit/finish immediately recomputes all flows and every
+        flow's ETA (the churn baseline).
     verify:
         Debug mode: after every incremental update, recompute the full
         reference allocation and raise if any stored rate diverges beyond
@@ -161,17 +184,18 @@ class FlowNetwork:
     """
 
     #: Relative epsilon under which a recomputed rate counts as unchanged
-    #: and the flow's completion event is preserved.  Chosen far below any
-    #: modelled bandwidth change but above progressive-filling float noise,
-    #: so drift against the full reference stays ≤ RESCHEDULE_EPS per flow.
+    #: and the flow keeps its ETA (its completion-heap entry).  Chosen far
+    #: below any modelled bandwidth change but above progressive-filling
+    #: float noise, so drift against the full reference stays
+    #: ≤ RESCHEDULE_EPS per flow.
     RESCHEDULE_EPS = 1e-12
 
     #: Starvation guard: a bottleneck share is floored at this fraction of
     #: the bottleneck link's usable capacity.  Float residue in the free
     #: capacity bookkeeping can otherwise drive a saturated link's share to
     #: exactly zero while an uncapped flow still crosses it — the flow
-    #: would freeze at rate 0, never get a completion event, and hang
-    #: forever (as would any process yielding on it).
+    #: would freeze at rate 0, never get an ETA, and hang forever (as would
+    #: any process yielding on it).
     SHARE_FLOOR_EPS = 1e-12
 
     def __init__(self, sim: Simulator, topology: Topology,
@@ -198,6 +222,14 @@ class FlowNetwork:
         self._dirty_flows: dict[int, FlowHandle] = {}
         self._dirty_links: set[int] = set()
         self._flush_scheduled = False
+        #: completion heap of ``(eta, key, flow)``; an entry is live while
+        #: ``key == flow._eta_key``.  Keys count up per network, so equal
+        #: ETAs pop in the order they were computed.
+        self._etas: list[tuple[float, int, FlowHandle]] = []
+        self._eta_keys = 0
+        self._live_etas = 0
+        #: the one kernel event, armed at the earliest live ETA.
+        self._timer: Optional[Event] = None
         self.sharing = SharingStats()
         self.monitor = Monitor("flow-network")
         self._active_level = self.monitor.level("active_flows", start_time=sim.now)
@@ -215,7 +247,7 @@ class FlowNetwork:
         TCP-window protocol layer).  Zero-byte transfers complete after the
         path latency alone.
         """
-        if size < 0:
+        if not size >= 0:
             raise ConfigurationError(f"transfer size must be >= 0, got {size}")
         handle = FlowHandle(src, dst, size, self.sim.now, rate_cap=rate_cap)
         try:
@@ -311,16 +343,14 @@ class FlowNetwork:
 
     def _abort(self, handle: FlowHandle, reason: str) -> None:
         """Terminate *handle* as failed: settle bytes, free its links,
-        cancel its completion, and complete it with ``failed=True``."""
+        drop its ETA, and complete it with ``failed=True``."""
         if handle.finished is not None:
             return  # already finished or aborted — completion fires once
         admitted = handle.id in self._active
         if admitted:
             self._settle(handle)
             self._release(handle)
-        if handle._completion is not None:
-            handle._completion.cancel()
-            handle._completion = None
+            self._drop_eta(handle)
         handle.rate = 0.0
         handle.failed = True
         handle.error = reason
@@ -334,6 +364,7 @@ class FlowNetwork:
         if admitted:
             # the freed share goes back to the survivors on those links
             self._mark_dirty(links=handle._link_ids)
+            self._arm()
 
     def _admit(self, handle: FlowHandle) -> None:
         # The route was up when the transfer started; a link may have died
@@ -357,7 +388,6 @@ class FlowNetwork:
         handle.remaining = 0.0
         handle.rate = 0.0
         handle.finished = self.sim.now
-        handle._completion = None
         if admitted:
             self._release(handle)
         self.completed += 1
@@ -375,7 +405,8 @@ class FlowNetwork:
         """Account bytes moved at the current rate since the last update."""
         dt = self.sim.now - handle._last_update
         if dt > 0:
-            handle.remaining = max(0.0, handle.remaining - handle.rate * dt)
+            left = handle.remaining - handle.rate * dt
+            handle.remaining = left if left > 0.0 else 0.0  # max(0.0, left)
         handle._last_update = self.sim.now
 
     def _mark_dirty(self, flow: FlowHandle | None = None,
@@ -389,6 +420,7 @@ class FlowNetwork:
         """
         if not self.incremental:
             self._apply_rates(dict(self._active), preserve=False)
+            self._arm()
             return
         if flow is not None:
             self._dirty_flows[flow.id] = flow
@@ -411,14 +443,13 @@ class FlowNetwork:
         for f in dirty_flows.values():
             if f.id in self._active:
                 seed_links.update(f._link_ids)
-        if not seed_links:
-            return
-        component = self._component(seed_links)
-        if not component:
-            return
-        self._apply_rates(component, preserve=True)
-        if self.verify:
-            self._verify_against_reference()
+        if seed_links:
+            component = self._component(seed_links)
+            if component:
+                self._apply_rates(component, preserve=True)
+                if self.verify:
+                    self._verify_against_reference()
+        self._arm()
 
     def _component(self, seed_links: Iterable[int]) -> dict[int, FlowHandle]:
         """Flows transitively sharing a link with any seed link id."""
@@ -437,54 +468,120 @@ class FlowNetwork:
         return flows
 
     def _apply_rates(self, flows: dict[int, FlowHandle], preserve: bool) -> None:
-        """Settle, recompute max-min shares, and (re)schedule completions.
+        """Settle, recompute max-min shares, and recompute ETAs.
 
         With *preserve*, a flow whose new rate matches its current rate
         within :data:`RESCHEDULE_EPS` (relative) keeps both its stored rate
-        and its live completion event — the event's absolute time is still
-        exact, since bytes keep draining at the unchanged rate.
+        and its live heap entry — that ETA is still exact, since bytes keep
+        draining at the unchanged rate.  The caller re-arms the timer.
         """
         if not flows:
             return
-        sim = self.sim
-        now = sim.now
-        for f in flows.values():  # _settle, inlined: one clock read
-            dt = now - f._last_update
-            if dt > 0:
-                f.remaining = max(0.0, f.remaining - f.rate * dt)
-            f._last_update = now
+        # _max_min_rates reads no byte counts, so settling can ride along
+        # in the ETA loop below.
         rates = self._max_min_rates(flows)
+        now = self.sim.now
         stats = self.sharing
         stats.recomputes += 1
         stats.flows_touched += len(flows)
         rescheduled = preserved = 0
         eps = self.RESCHEDULE_EPS
-        schedule_at, finish = sim.schedule_at, self._finish
+        etas = self._etas
+        key = self._eta_keys
+        live = self._live_etas
         for fid, f in flows.items():
+            dt = now - f._last_update  # _settle, inlined: one clock read
+            if dt > 0:
+                left = f.remaining - f.rate * dt
+                f.remaining = left if left > 0.0 else 0.0
+            f._last_update = now
             new_rate = rates[fid]
             old_rate = f.rate
-            ev = f._completion
-            if (preserve and ev is not None and not ev.cancelled
-                    and abs(new_rate - old_rate)
-                    <= eps * max(abs(new_rate), abs(old_rate))):
-                preserved += 1
-                continue
+            if preserve and f._eta_key >= 0:
+                # abs(new - old) <= eps * max(abs(new), abs(old)), for the
+                # non-negative rates progressive filling hands out
+                tol = eps * (old_rate if old_rate > new_rate else new_rate)
+                diff = new_rate - old_rate
+                if -tol <= diff <= tol:
+                    preserved += 1
+                    continue
             f.rate = new_rate
-            if ev is not None:
-                ev.cancel()
-                f._completion = None
             if new_rate > 0:
-                # now + eta is bitwise the time schedule(eta, ...) computes
-                f._completion = schedule_at(now + f.remaining / new_rate,
-                                            finish, f, label="flow_done")
+                if f._eta_key < 0:
+                    live += 1
+                key += 1
+                # bitwise the time schedule(remaining / rate, ...) computes
+                f._eta = eta = now + f.remaining / new_rate
+                f._eta_key = key
+                heappush(etas, (eta, key, f))
                 rescheduled += 1
-            # rate == 0 can only happen with a rate cap of 0; such flows
-            # sit idle until a reallocation frees capacity.
+            elif f._eta_key >= 0:
+                # rate == 0 can only happen with a rate cap of 0; such flows
+                # sit idle until a reallocation frees capacity.
+                f._eta = math.nan
+                f._eta_key = -1
+                live -= 1
+        self._eta_keys = key
+        self._live_etas = live
         stats.rescheduled += rescheduled
         stats.preserved += preserved
-        obs = sim._obs
+        obs = self.sim._obs
         if obs is not None:
             obs.on_reallocate(len(flows), rescheduled, preserved)
+
+    def _drop_eta(self, flow: FlowHandle) -> None:
+        """Kill *flow*'s heap entry in place (the caller re-arms)."""
+        if flow._eta_key >= 0:
+            flow._eta = math.nan
+            flow._eta_key = -1
+            self._live_etas -= 1
+
+    def _next_eta(self) -> Optional[float]:
+        """The earliest live ETA, dropping dead entries off the top."""
+        etas = self._etas
+        while etas:
+            eta, key, flow = etas[0]
+            if flow._eta_key == key:
+                return eta
+            heappop(etas)
+        return None
+
+    def _arm(self) -> None:
+        """Keep the one completion timer on the earliest live ETA.
+
+        While a recompute is pending the timer is only armed for a flow due
+        at this very instant: that pass (LOW band, same instant) re-arms,
+        and it would move a timer armed for later anyway.
+        """
+        if len(self._etas) > 2 * self._live_etas:
+            # dead entries outnumber live ones: rebuild from the live ones
+            self._etas = [e for e in self._etas if e[2]._eta_key == e[1]]
+            heapify(self._etas)
+        eta = self._next_eta()
+        timer = self._timer
+        if timer is not None:
+            if timer.time == eta:
+                return
+            timer.cancel()
+            self._timer = None
+        if eta is not None and (not self._flush_scheduled
+                                or eta <= self.sim.now):
+            self._timer = self.sim.schedule_at(eta, self._on_timer,
+                                               label="flow_done")
+
+    def _on_timer(self) -> None:
+        """Finish the one flow due now, then re-arm for the next."""
+        self._timer = None
+        flow = heappop(self._etas)[2]  # _arm left a live entry due now on top
+        self._drop_eta(flow)
+        eta = self._next_eta()
+        if eta is not None and eta <= self.sim.now:
+            # a flow due at this same instant fires before anything this
+            # completion schedules, as its own event would have
+            self._timer = self.sim.schedule_at(eta, self._on_timer,
+                                               label="flow_done")
+        self._finish(flow)
+        self._arm()
 
     def _verify_against_reference(self) -> None:
         """Assert stored rates match the full progressive-filling reference.
@@ -517,6 +614,12 @@ class FlowNetwork:
         # any tied links.
         free: dict[int, float] = {}
         crossing: dict[int, list[FlowHandle]] = {}
+        # Only finitely capped flows can ever freeze at their cap; listed in
+        # *flows* order, so caps are subtracted from ``free`` in an order
+        # that does not depend on flow-id values.
+        idle: list[FlowHandle] = []
+        cap_pool: list[FlowHandle] = []
+        inf = math.inf
         for f in flows.values():
             for lid in f._link_ids:
                 crossers = crossing.get(lid)
@@ -525,6 +628,9 @@ class FlowNetwork:
                     crossing[lid] = [f]
                 else:
                     crossers.append(f)
+            cap = f.rate_cap
+            if cap < inf:
+                (idle if cap <= 0.0 else cap_pool).append(f)
         #: unfrozen crossers per link, kept live as flows freeze; a link
         #: leaves the dict when its last crosser freezes.
         live = {lid: len(crossers) for lid, crossers in crossing.items()}
@@ -533,24 +639,20 @@ class FlowNetwork:
         def freeze(f: FlowHandle, rate: float) -> None:
             rates[f.id] = rate
             for lid in f._link_ids:
-                free[lid] = max(0.0, free[lid] - rate)
+                left = free[lid] - rate
+                free[lid] = left if left > 0.0 else 0.0  # max(0.0, left)
                 n = live[lid] - 1
                 if n:
                     live[lid] = n
                 else:
                     del live[lid]
 
-        # Flows capped at exactly 0 can never carry bytes; freeze them first
+        # Flows capped at 0 or below can never carry bytes; freeze them first
         # so the starvation guard below applies only to servable flows.
-        for f in flows.values():
-            if f.rate_cap <= 0.0:
-                freeze(f, 0.0)
-        # Only finitely capped flows can ever freeze at their cap; listed in
-        # *flows* order, so caps are subtracted from ``free`` in an order
-        # that does not depend on flow-id values.
-        cap_pool = [f for f in flows.values()
-                    if f.rate_cap < math.inf and f.id not in rates]
-        while len(rates) < len(flows):
+        for f in idle:
+            freeze(f, 0.0)
+        n_flows = len(flows)
+        while len(rates) < n_flows:
             # Fair share each link could offer its unfrozen flows; track the
             # single most-constrained link (the iteration's bottleneck).
             best_share = math.inf
@@ -570,8 +672,8 @@ class FlowNetwork:
             # Starvation guard: float residue in `free` after repeated
             # subtraction can reach exactly 0 (or epsilon dust) while
             # uncapped flows still cross the link; a zero share would
-            # freeze them at rate 0 with no completion event — a permanent
-            # hang.  Floor the share relative to the bottleneck's capacity
+            # freeze them at rate 0 with no ETA — a permanent hang.
+            # Floor the share relative to the bottleneck's capacity
             # (overshoot is ≤ crossers · floor, far inside the efficiency
             # margin), with an absolute backstop for subnormal capacities.
             floor = self.SHARE_FLOOR_EPS * usable[best_link]
@@ -579,16 +681,27 @@ class FlowNetwork:
                 best_share = floor if floor > 0.0 else _MIN_SHARE
             # Flows capped below the bottleneck share freeze at their cap
             # first — they consume less than a fair share everywhere.
-            capped = [f for f in cap_pool
-                      if f.id not in rates and f.rate_cap < best_share]
-            if capped:
-                for f in capped:
-                    freeze(f, f.rate_cap)
-                continue
-            # Freeze exactly the bottleneck link's flows at its fair share.
+            if cap_pool:
+                capped = [f for f in cap_pool
+                          if f.id not in rates and f.rate_cap < best_share]
+                if capped:
+                    for f in capped:
+                        freeze(f, f.rate_cap)
+                    continue
+            # Freeze exactly the bottleneck link's flows at its fair share
+            # (freeze, inlined).
             for f in crossing[best_link]:
-                if f.id not in rates:
-                    freeze(f, best_share)
+                fid = f.id
+                if fid not in rates:
+                    rates[fid] = best_share
+                    for lid in f._link_ids:
+                        left = free[lid] - best_share
+                        free[lid] = left if left > 0.0 else 0.0
+                        n = live[lid] - 1
+                        if n:
+                            live[lid] = n
+                        else:
+                            del live[lid]
         # Post-condition of the guard: no servable flow ever starves.
         for fid, rate in rates.items():
             if rate <= 0.0 and flows[fid].rate_cap > 0.0:

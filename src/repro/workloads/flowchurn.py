@@ -5,8 +5,8 @@ The E8 bandwidth-sharing scenario (``benchmarks/bench_flow_sharing.py`` and
 chain of back-to-back transfers, staggered so their admits/finishes
 interleave in time, while a handful of long-lived flows share one backbone
 link.  Under the naive max-min engine every one of those pair-local events
-recomputes **all** active flows and cancels+reschedules **every**
-completion event; the incremental engine touches only the two-node
+recomputes **all** active flows and **every** completion time; the
+incremental engine touches only the two-node
 component that actually changed.  The model is fully deterministic — no
 RNG — so incremental and reference runs are directly comparable.
 """
