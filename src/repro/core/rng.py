@@ -41,6 +41,10 @@ class Stream:
     def __init__(self, name: str, seed_seq: np.random.SeedSequence) -> None:
         self.name = name
         self._gen = np.random.Generator(np.random.PCG64(seed_seq))
+        #: ``(s, arange(1, N + 1) ** -s)`` for the last Zipf exponent and the
+        #: largest support drawn over with it; the power is elementwise, so
+        #: any prefix equals the array built for that length.
+        self._zipf_weights: tuple[float, np.ndarray] | None = None
 
     # -- continuous variates ---------------------------------------------------
 
@@ -124,10 +128,31 @@ class Stream:
         """
         if n < 1:
             raise ConfigurationError(f"zipf support size must be >= 1, got {n}")
-        ranks = np.arange(1, n + 1, dtype=float)
-        pmf = ranks ** (-s)
-        pmf /= pmf.sum()
-        return int(self._gen.choice(n, p=pmf))
+        cdf = self._zipf_cdf(n, s)
+        if cdf is None:
+            # let numpy reject the degenerate pmf with its own error
+            pmf = np.arange(1, n + 1, dtype=float) ** (-s)
+            return int(self._gen.choice(n, p=pmf / pmf.sum()))
+        # Generator.choice(n, p=pmf) draws one double and bisects: the same
+        # rank and generator state, without its per-call validation.
+        return int(cdf.searchsorted(self._gen.random(), "right"))
+
+    def _zipf_cdf(self, n: int, s: float) -> np.ndarray | None:
+        """The CDF ``Generator.choice`` builds from the Zipf(n, s) pmf, bit
+        for bit (None when that pmf is degenerate)."""
+        cached = self._zipf_weights
+        if cached is None or cached[0] != s or len(cached[1]) < n:
+            size = n if cached is None or cached[0] != s \
+                else max(n, 2 * len(cached[1]))
+            cached = self._zipf_weights = (
+                s, np.arange(1, size + 1, dtype=float) ** (-s))
+        weights = cached[1][:n]
+        total = weights.sum()
+        if not 0.0 < total < math.inf:
+            return None
+        cdf = (weights / total).cumsum()
+        cdf /= cdf[-1]
+        return cdf
 
     def zipf_sampler(self, n: int, s: float = 1.0):
         """Return a zero-arg callable sampling Zipf ranks with a cached CDF.

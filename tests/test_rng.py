@@ -115,6 +115,34 @@ class TestDiscrete:
         # rank 0 must dominate any deep rank under Zipf
         assert ranks.count(0) > ranks.count(50)
 
+    @pytest.mark.parametrize("exponent", [0.8, 1.0, 1.1])
+    def test_zipf_draws_equal_generator_choice(self, exponent):
+        """Draw for draw, and in the generator state left behind, zipf equals
+        ``Generator.choice(n, p=pmf)`` over the pmf it used to rebuild, and
+        its CDF is the one choice computes, bit for bit — whether its cached
+        weights were built at length n or are a prefix of a longer array."""
+        sizes = list(range(1, 3001)) + list(range(3000, 0, -7))
+        for seed in (0, 1, 7):
+            stream = StreamFactory(seed).stream("zipf")
+            ref = np.random.Generator(np.random.PCG64())
+            ref.bit_generator.state = stream._gen.bit_generator.state
+            for n in sizes:
+                pmf = np.arange(1, n + 1, dtype=float) ** (-exponent)
+                pmf /= pmf.sum()
+                if seed == 0:
+                    cdf = pmf.cumsum()
+                    cdf /= cdf[-1]
+                    got = stream._zipf_cdf(n, exponent)
+                    assert got.tobytes() == cdf.tobytes(), n
+                want = int(ref.choice(n, p=pmf))
+                assert stream.zipf(n, exponent) == want, (seed, n)
+            assert stream._gen.bit_generator.state == ref.bit_generator.state
+
+    def test_zipf_degenerate_exponent_rejected_like_choice(self):
+        s = StreamFactory(24).stream("d")
+        with pytest.raises(ValueError):
+            s.zipf(10, float("nan"))
+
     def test_zipf_sampler_matches_support(self):
         s = StreamFactory(23).stream("d")
         sample = s.zipf_sampler(10, 1.0)
