@@ -4,7 +4,7 @@ Taxonomy *network characteristics*: "the network elements interconnecting
 hosts within simulated distributed environments — routers, switches and
 other devices".  A :class:`Topology` is a directed multigraph of named nodes
 joined by :class:`LinkSpec` edges (bandwidth + latency), with shortest-path
-routing (networkx) cached per source.
+routing (a heap-based Dijkstra) cached per source.
 
 Factory helpers build the standard shapes the surveyed simulators assume:
 a star (Bricks' central model), a tier tree (MONARC's T0/T1/T2), a dumbbell
@@ -15,9 +15,9 @@ Bandwidths are in **bytes per simulated second**, latencies in seconds.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from heapq import heappop, heappush
+from itertools import count, islice
 from typing import Iterable, Sequence
-
-import networkx as nx
 
 from ..core.errors import ConfigurationError, RoutingError, TopologyError
 
@@ -67,7 +67,10 @@ class Topology:
     _HOP_EPS = 1e-9
 
     def __init__(self) -> None:
-        self._g = nx.DiGraph()
+        #: node name -> attributes, in insertion order
+        self._nodes: dict[str, dict] = {}
+        #: node name -> {successor: link}, both in insertion order
+        self._adj: dict[str, dict[str, LinkSpec]] = {}
         self._route_cache: dict[str, dict[str, list[str]]] = {}
         #: the link tuple of each route served, next to its node path;
         #: cleared wherever the node-path cache is.
@@ -82,17 +85,36 @@ class Topology:
 
     def add_node(self, name: str, **attrs) -> None:
         """Add a node; re-adding an existing node updates its attributes."""
-        self._g.add_node(name, **attrs)
+        self._ensure_node(name).update(attrs)
         self._invalidate_routes()
 
     def add_link(self, src: str, dst: str, bandwidth: float,
                  latency: float = 0.0, symmetric: bool = True) -> None:
-        """Add a link (both directions when *symmetric*); creates endpoints."""
+        """Add a link (both directions when *symmetric*); creates endpoints.
+
+        Re-adding an existing link replaces its spec in place.
+        """
         spec = LinkSpec(src, dst, bandwidth, latency)  # validates
-        self._g.add_edge(src, dst, spec=spec)
+        self._add_edge(spec)
         if symmetric:
-            self._g.add_edge(dst, src, spec=LinkSpec(dst, src, bandwidth, latency))
+            self._add_edge(LinkSpec(dst, src, bandwidth, latency))
         self._invalidate_routes()
+
+    def _ensure_node(self, name: str) -> dict:
+        attrs = self._nodes.get(name)
+        if attrs is None:
+            attrs = self._nodes[name] = {}
+            self._adj[name] = {}
+        return attrs
+
+    def _add_edge(self, spec: LinkSpec) -> None:
+        self._ensure_node(spec.src)
+        self._ensure_node(spec.dst)
+        self._adj[spec.src][spec.dst] = spec
+
+    def _edge(self, src: str, dst: str) -> LinkSpec | None:
+        out = self._adj.get(src)
+        return out.get(dst) if out is not None else None
 
     def _invalidate_routes(self) -> None:
         self._route_cache.clear()
@@ -106,14 +128,15 @@ class Topology:
         out of service.  Returns the specs that actually transitioned
         up→down, so callers can abort the flows crossing them.  Raises
         :class:`TopologyError` when the forward edge does not exist."""
-        if not self._g.has_edge(src, dst):
+        if self._edge(src, dst) is None:
             raise TopologyError(f"no direct link {src} -> {dst}")
         downed: list[LinkSpec] = []
         pairs = ((src, dst), (dst, src)) if symmetric else ((src, dst),)
         for a, b in pairs:
-            if self._g.has_edge(a, b) and (a, b) not in self._down:
+            spec = self._edge(a, b)
+            if spec is not None and (a, b) not in self._down:
                 self._down.add((a, b))
-                downed.append(self._g.edges[a, b]["spec"])
+                downed.append(spec)
         if downed:
             self._invalidate_routes()
         return downed
@@ -122,79 +145,108 @@ class Topology:
                     symmetric: bool = True) -> list[LinkSpec]:
         """Return the link (and reverse when *symmetric*) to service.
         Returns the specs that actually transitioned down→up."""
-        if not self._g.has_edge(src, dst):
+        if self._edge(src, dst) is None:
             raise TopologyError(f"no direct link {src} -> {dst}")
         restored: list[LinkSpec] = []
         pairs = ((src, dst), (dst, src)) if symmetric else ((src, dst),)
         for a, b in pairs:
             if (a, b) in self._down:
                 self._down.discard((a, b))
-                restored.append(self._g.edges[a, b]["spec"])
+                restored.append(self._adj[a][b])
         if restored:
             self._invalidate_routes()
         return restored
 
     def link_up(self, src: str, dst: str) -> bool:
         """True when the directed edge exists and is in service."""
-        return self._g.has_edge(src, dst) and (src, dst) not in self._down
+        return self._edge(src, dst) is not None and (src, dst) not in self._down
 
     @property
     def down_links(self) -> list[LinkSpec]:
         """Specs of every directed edge currently out of service."""
-        return [self._g.edges[a, b]["spec"] for a, b in sorted(self._down)]
+        return [self._adj[a][b] for a, b in sorted(self._down)]
 
     # -- queries ------------------------------------------------------------------
 
     @property
     def nodes(self) -> list[str]:
         """All node names."""
-        return list(self._g.nodes)
+        return list(self._nodes)
 
     @property
     def links(self) -> list[LinkSpec]:
         """All directed :class:`LinkSpec` edges."""
-        return [data["spec"] for _, _, data in self._g.edges(data=True)]
+        return [spec for out in self._adj.values() for spec in out.values()]
 
     def has_node(self, name: str) -> bool:
         """True when *name* exists in the graph."""
-        return self._g.has_node(name)
+        return name in self._nodes
 
     def link(self, src: str, dst: str) -> LinkSpec:
         """The direct link ``src -> dst``; raises if absent."""
-        try:
-            return self._g.edges[src, dst]["spec"]
-        except KeyError:
-            raise TopologyError(f"no direct link {src} -> {dst}") from None
+        spec = self._edge(src, dst)
+        if spec is None:
+            raise TopologyError(f"no direct link {src} -> {dst}")
+        return spec
 
     def degree(self, name: str) -> int:
         """Outgoing link count of a node."""
-        if not self._g.has_node(name):
+        if name not in self._nodes:
             raise TopologyError(f"unknown node {name!r}")
-        return self._g.out_degree(name)
+        return len(self._adj[name])
 
     # -- routing ------------------------------------------------------------------
 
     def route(self, src: str, dst: str) -> list[str]:
-        """Node sequence ``[src, ..., dst]`` minimizing latency (+hop eps)."""
+        """Node sequence ``[src, ..., dst]`` minimizing latency (+hop eps).
+
+        Returns a fresh list; the cached path stays intact.
+        """
         for n in (src, dst):
-            if not self._g.has_node(n):
+            if n not in self._nodes:
                 raise TopologyError(f"unknown node {n!r}")
         if src == dst:
             return [src]
         per_src = self._route_cache.get(src)
         if per_src is None:
-            # A weight of None hides the edge from dijkstra — out-of-service
-            # links simply do not exist as far as routing is concerned.
-            per_src = nx.single_source_dijkstra_path(
-                self._g, src,
-                weight=lambda u, v, d: (
-                    None if (u, v) in self._down
-                    else d["spec"].latency + self._HOP_EPS))
-            self._route_cache[src] = per_src
+            per_src = self._route_cache[src] = self._shortest_paths(src)
         try:
-            return per_src[dst]
+            return list(per_src[dst])
         except KeyError:
             raise RoutingError(f"no route {src} -> {dst}") from None
+
+    def _shortest_paths(self, src: str) -> dict[str, list[str]]:
+        """Dijkstra from *src*: the node path to every reachable node.
+
+        Ties break as in networkx's ``single_source_dijkstra_path``: the
+        fringe holds ``(dist, push count, node)``, successors are relaxed in
+        insertion order, and a path is replaced only by a strictly shorter
+        one.  Out-of-service links do not exist as far as routing is
+        concerned.
+        """
+        adj, down, hop_eps = self._adj, self._down, self._HOP_EPS
+        dist: dict[str, float] = {}
+        seen: dict[str, float] = {src: 0}
+        pred: dict[str, str] = {}
+        pushes = count()
+        fringe = [(0, next(pushes), src)]
+        while fringe:
+            d, _, v = heappop(fringe)
+            if v in dist:
+                continue
+            dist[v] = d
+            for u, spec in adj[v].items():
+                if u in dist or (v, u) in down:
+                    continue
+                du = d + (spec.latency + hop_eps)
+                if u not in seen or du < seen[u]:
+                    seen[u] = du
+                    pred[u] = v
+                    heappush(fringe, (du, next(pushes), u))
+        paths = {src: [src]}
+        for v in islice(dist, 1, None):  # settled in distance order
+            paths[v] = paths[pred[v]] + [v]
+        return paths
 
     def _links_along(self, src: str, dst: str) -> tuple[LinkSpec, ...]:
         """The cached link tuple along :meth:`route` (routes on a miss)."""
@@ -204,8 +256,8 @@ class Topology:
             if links is not None:
                 return links
         path = self.route(src, dst)
-        edges = self._g.edges
-        links = tuple(edges[a, b]["spec"] for a, b in zip(path, path[1:]))
+        adj = self._adj
+        links = tuple(adj[a][b] for a, b in zip(path, path[1:]))
         self._route_links_cache.setdefault(src, {})[dst] = links
         return links
 
@@ -223,7 +275,8 @@ class Topology:
                    default=float("inf"))
 
     def __repr__(self) -> str:  # pragma: no cover
-        return f"<Topology nodes={self._g.number_of_nodes()} links={self._g.number_of_edges()}>"
+        n_links = sum(len(out) for out in self._adj.values())
+        return f"<Topology nodes={len(self._nodes)} links={n_links}>"
 
 
 # -- canonical shapes --------------------------------------------------------------

@@ -1,5 +1,7 @@
 """Tests for topology construction and routing."""
 
+import random
+
 import pytest
 
 from repro.core import ConfigurationError, RoutingError, Simulator, TopologyError
@@ -140,6 +142,9 @@ class TestRouteLinkCache:
         links.clear()
         assert len(t.route_links("a", "c")) == 2
         assert t.bottleneck_bandwidth("a", "c") == 50.0
+        path = t.route("a", "c")
+        path.append("elsewhere")
+        assert t.route("a", "c") == ["a", "b", "c"]
 
     def test_cached_sums_match_uncached(self):
         t = tier_tree([3, 2], [10 * GBPS, 1 * GBPS], latency=0.013)
@@ -199,3 +204,74 @@ class TestFactories:
     def test_eu_datagrid_custom_sites(self):
         t = eu_datagrid(["X", "Y"])
         assert t.route("X", "Y") == ["X", "WAN", "Y"]
+
+
+def _random_topology_pair(rng, nx):
+    """The same random graph built as a Topology and as a networkx DiGraph.
+
+    Latencies come from a small set, so equal-cost paths are common; some
+    links are re-added with a new spec, some are taken down, and some nodes
+    stay isolated.
+    """
+    topo, graph, down = Topology(), nx.DiGraph(), set()
+    names = [f"n{i}" for i in range(rng.randint(2, 12))]
+    for name in rng.sample(names, rng.randint(0, len(names))):
+        topo.add_node(name)
+        graph.add_node(name)
+    for _ in range(rng.randint(0, 3 * len(names))):
+        a, b = rng.sample(names, 2)
+        latency = rng.choice((0.0, 0.005, 0.01, 0.01, 0.02))
+        symmetric = rng.random() < 0.6
+        topo.add_link(a, b, 100.0, latency, symmetric=symmetric)
+        for u, v in ((a, b), (b, a)) if symmetric else ((a, b),):
+            graph.add_edge(u, v, spec=topo.link(u, v))
+    for a, b in rng.sample(list(graph.edges), rng.randint(0, 3)
+                           if graph.number_of_edges() >= 3 else 0):
+        for spec in topo.fail_link(a, b, symmetric=rng.random() < 0.5):
+            down.add((spec.src, spec.dst))
+    return topo, graph, down
+
+
+def _networkx_route(nx, graph, down, src, dst):
+    """Routes as the topology once computed them with networkx."""
+    paths = nx.single_source_dijkstra_path(
+        graph, src, weight=lambda u, v, d: (
+            None if (u, v) in down
+            else d["spec"].latency + Topology._HOP_EPS))
+    return paths.get(dst)
+
+
+class TestRoutingMatchesNetworkx:
+    """The built-in Dijkstra picks the very path networkx's did, ties
+    included, on random graphs with outages and equal-latency routes."""
+
+    def test_random_graphs(self):
+        nx = pytest.importorskip("networkx")
+        rng = random.Random(20091)
+        for trial in range(300):
+            topo, graph, down = _random_topology_pair(rng, nx)
+            assert topo.nodes == list(graph.nodes), trial
+            assert topo.links == [d["spec"] for _, _, d in graph.edges(data=True)]
+            for src in graph.nodes:
+                for dst in graph.nodes:
+                    want = ([src] if src == dst else
+                            _networkx_route(nx, graph, down, src, dst))
+                    if want is None:
+                        with pytest.raises(RoutingError):
+                            topo.route(src, dst)
+                    else:
+                        assert topo.route(src, dst) == want, (trial, src, dst)
+
+    def test_equal_latency_tie_matches(self):
+        """A diamond with two equal-cost branches: the first-added wins."""
+        nx = pytest.importorskip("networkx")
+        for first, second in (("b", "c"), ("c", "b")):
+            topo, graph = Topology(), nx.DiGraph()
+            for mid in (first, second):
+                for a, b in (("a", mid), (mid, "d")):
+                    topo.add_link(a, b, 10.0, 0.01)
+                    graph.add_edge(a, b, spec=topo.link(a, b))
+                    graph.add_edge(b, a, spec=topo.link(b, a))
+            assert topo.route("a", "d") == ["a", first, "d"]
+            assert topo.route("a", "d") == _networkx_route(
+                nx, graph, set(), "a", "d")
